@@ -29,7 +29,7 @@ from repro.core.pipeline import PipelineContext, PipelineObserver
 from repro.core.registry import DiagnosticTool, get_tool
 from repro.core.report import DiagnosisReport
 from repro.darshan.log import DarshanLog
-from repro.darshan.writer import render_darshan_text
+from repro.darshan.writer import iter_counter_text
 from repro.llm.client import FaultEvent, Usage
 from repro.util.parallel import parallel_map
 
@@ -48,9 +48,13 @@ def trace_digest(log: DarshanLog) -> str:
     Covers both evidence channels: the parser-text rendering of the
     counters and, when present, the DXT segment table — two logs with
     identical counters but different timelines must not share a cache
-    entry.
+    entry.  The counter text is hashed chunk by chunk as it is rendered,
+    so the value equals ``sha256(render_darshan_text(log).encode())``
+    (plus the DXT digest) without materializing the whole string.
     """
-    digest = hashlib.sha256(render_darshan_text(log).encode("utf-8"))
+    digest = hashlib.sha256()
+    for chunk in iter_counter_text(log):
+        digest.update(chunk.encode("utf-8"))
     if log.dxt_segments:
         from repro.darshan.dxt import dxt_digest
 
@@ -225,22 +229,26 @@ class DiagnosisService:
             config = self.config
         return (trace_digest(log), self.tool.name, repr(config))
 
-    # Pre-serving-layer name, kept for callers that bound to it.
-    _cache_key = cache_key
-
     def lookup(self, log: DarshanLog, trace_id: str = "trace") -> DiagnosisReport | None:
         """Serve ``log`` from memory or the persistent store, or None.
 
-        Never runs the tool — this is the probe the serving layer uses to
-        resolve requests at submit time without burning a queue slot.
-        Hits count toward ``cache_hits`` / ``store_hits``; misses count
-        nothing (only an actual run records a miss).
+        Never runs the tool.  Hits count toward ``cache_hits`` /
+        ``store_hits``; misses count nothing (only an actual run records a
+        miss).
         """
         if not self._cache_enabled:
             return None
         return self._lookup(self.cache_key(log), trace_id)
 
     def _lookup(self, key: tuple[str, str, str], trace_id: str) -> DiagnosisReport | None:
+        """Serve ``key`` from memory or the persistent store, or None.
+
+        The keyed probe behind :meth:`lookup`; the serving layer calls it
+        at submit time with the key it already computed, so a request is
+        digested once.
+        """
+        if not self._cache_enabled:
+            return None
         with self._cache_lock:
             hit = self._cache.get(key)
             if hit is not None:
@@ -272,6 +280,22 @@ class DiagnosisService:
         ``trace_id``.
         """
         key = self.cache_key(log) if self._cache_enabled else None
+        return self._diagnose_keyed(log, key, trace_id, observers)
+
+    def _diagnose_keyed(
+        self,
+        log: DarshanLog,
+        key: tuple[str, str, str] | None,
+        trace_id: str = "trace",
+        observers: Sequence[PipelineObserver] = (),
+    ) -> DiagnosisReport:
+        """:meth:`diagnose` for a caller that already holds ``log``'s key.
+
+        ``key`` is ``cache_key(log)``, or None when the caller skipped the
+        digest because caching is off; with caching off it is ignored.
+        """
+        if not self._cache_enabled:
+            key = None
         if key is not None:
             hit = self._lookup(key, trace_id)
             if hit is not None:

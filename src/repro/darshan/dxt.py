@@ -234,7 +234,7 @@ def parse_dxt_text(
 def dxt_digest(segments) -> str:
     """Fast stable content digest of a segment table.
 
-    Hot path of the service cache (every lookup digests the trace), so
+    Part of every request's cache key (each request is digested once), so
     the table's column buffers are hashed directly plus the compact
     string dictionaries — no per-segment iteration, no text rendering.
     """

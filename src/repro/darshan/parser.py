@@ -75,38 +75,6 @@ _HEADER_RE = re.compile(r"^# ([a-z_ ]+): (.*)$")
 _MOUNT_RE = re.compile(r"^# mount entry:\t(\S+)\t(\S+)$")
 
 
-def _parse_record_line(
-    line: str, lineno: int, records: dict[tuple[str, str], DarshanRecord]
-) -> None:
-    """Fold one tab-separated counter line into ``records`` (or raise)."""
-    parts = line.split("\t")
-    if len(parts) != 8:
-        raise DarshanParseError(
-            f"line {lineno}: expected 8 tab-separated fields, got {len(parts)}"
-        )
-    module, rank_s, _rid, counter, value_s, path, mount, fs_type = parts
-    if "." in value_s or "e" in value_s or "E" in value_s:
-        value: int | float = float(value_s)
-    else:
-        value = int(value_s)
-    rank = int(rank_s)
-    key = (module, path)
-    rec = records.get(key)
-    if rec is None:
-        rec = DarshanRecord(
-            module=module,
-            path=path,
-            rank=rank,
-            mount_point=mount,
-            fs_type=fs_type,
-        )
-        records[key] = rec
-    if isinstance(value, float):
-        rec.fcounters[counter] = value
-    else:
-        rec.counters[counter] = value
-
-
 def parse_darshan_text_with_report(
     text: str, *, lenient: bool = False
 ) -> tuple[DarshanLog, ParseReport]:
@@ -120,16 +88,13 @@ def parse_darshan_text_with_report(
     skipped: list[SkippedLine] = []
 
     lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if line.startswith("# DXT trace"):
-            # Everything from the marker on is the embedded DXT section.
-            dxt_text = "\n".join(lines[lineno - 1 :])
-            dxt_start = lineno - 1
-            break
-        if not line.strip():
-            continue
-        if line.startswith("#"):
+    for lineno, line in enumerate(lines, start=1):
+        if line[:1] == "#":
+            if line.startswith("# DXT trace"):
+                # Everything from the marker on is the embedded DXT section.
+                dxt_text = "\n".join(lines[lineno - 1 :])
+                dxt_start = lineno - 1
+                break
             m = _MOUNT_RE.match(line)
             if m:
                 mounts.append((m.group(1), m.group(2)))
@@ -138,15 +103,39 @@ def parse_darshan_text_with_report(
             if m:
                 header_fields[m.group(1).strip()] = m.group(2).strip()
             continue
-        try:
-            _parse_record_line(line, lineno, records)
-        except (DarshanParseError, ValueError) as exc:
+        if not line.strip():
+            continue
+        # One tab-separated counter line: <module> <rank> <record id>
+        # <counter> <value> <file name> <mount pt> <fs type>.
+        parts = line.split("\t")
+        if len(parts) != 8:
+            reason = f"line {lineno}: expected 8 tab-separated fields, got {len(parts)}"
             if not lenient:
-                if isinstance(exc, DarshanParseError):
-                    raise
+                raise DarshanParseError(reason)
+            skipped.append(SkippedLine(lineno=lineno, text=line, reason=reason))
+            continue
+        module, rank_s, _rid, counter, value_s, path, mount, fs_type = parts
+        try:
+            fvalue: float | None = None
+            if "." in value_s or "e" in value_s or "E" in value_s:
+                fvalue = float(value_s)
+            else:
+                ivalue = int(value_s)
+            rank = int(rank_s)
+        except ValueError as exc:
+            if not lenient:
                 raise DarshanParseError(f"line {lineno}: {exc}") from exc
             skipped.append(SkippedLine(lineno=lineno, text=line, reason=str(exc)))
             continue
+        rec = records.get((module, path))
+        if rec is None:
+            rec = records[(module, path)] = DarshanRecord(
+                module=module, path=path, rank=rank, mount_point=mount, fs_type=fs_type
+            )
+        if fvalue is None:
+            rec.counters[counter] = ivalue
+        else:
+            rec.fcounters[counter] = fvalue
         record_lines += 1
 
     required = ("exe", "uid", "jobid", "start_time", "end_time", "nprocs", "run time")

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import cost_comparison, run_batch
+from repro.core.service import trace_digest
 from repro.darshan.counters import SIZE_BIN_SUFFIXES
+from repro.darshan.dxt import dxt_digest
 from repro.darshan.instrument import DarshanInstrument
+from repro.darshan.parser import parse_darshan_text
+from repro.darshan.writer import render_darshan_text
 from repro.sim.filesystem import LustreFileSystem
 from repro.sim.ops import API, IOOp, OpKind
 from repro.sim.runtime import IORuntime, JobSpec
@@ -39,6 +45,29 @@ class TestBatch:
     def test_batch_empty(self):
         result = run_batch([], model="gpt-4o")
         assert result.mean_f1 == 0.0 and not result.reports
+
+
+def _whole_text_digest(log):
+    """trace_digest's definition before streaming: hash the joined text."""
+    digest = hashlib.sha256(render_darshan_text(log).encode("utf-8"))
+    if log.dxt_segments:
+        digest.update(dxt_digest(log.dxt_segments).encode("ascii"))
+    return digest.hexdigest()
+
+
+# trace_digest of TraceBench sb01-small-writes at seed 0 (counters + DXT).
+# Persistent ResultStore entries are addressed by this value, so a change
+# to it orphans every existing store directory.
+SB01_TRACE_DIGEST = "e198c51b9ef084bf90b400d2787bc61e1a1c35a40277915c44e4806be9f323d6"
+
+
+class TestDigestStability:
+    def test_streamed_digest_equals_whole_text_digest_on_tracebench(self, bench):
+        for trace in bench:
+            assert trace_digest(trace.log) == _whole_text_digest(trace.log), trace.trace_id
+
+    def test_pinned_digest_keeps_existing_stores_hitting(self, sb01_trace):
+        assert trace_digest(sb01_trace.log) == SB01_TRACE_DIGEST
 
 
 def _instrumented(ops, nprocs=4):
@@ -99,15 +128,16 @@ class TestInstrumentInvariants:
     @settings(max_examples=25, deadline=None)
     def test_text_round_trip_arbitrary_logs(self, stream):
         """Writer/parser round-trip holds for arbitrary generated logs."""
-        from repro.darshan.parser import parse_darshan_text
-        from repro.darshan.writer import render_darshan_text
-
         nprocs, ops = stream
         log, _ = _instrumented(ops, nprocs=nprocs)
-        log2 = parse_darshan_text(render_darshan_text(log))
+        text = render_darshan_text(log)
+        log2 = parse_darshan_text(text)
         assert {(r.module, r.path): r.counters for r in log2.records} == {
             (r.module, r.path): r.counters for r in log.records
         }
+        assert render_darshan_text(log2) == text
+        # trace_digest hashes the same text chunk by chunk: same value.
+        assert trace_digest(log) == _whole_text_digest(log)
 
     @given(_op_streams())
     @settings(max_examples=25, deadline=None)

@@ -188,6 +188,31 @@ class TestInstrument:
         assert rec.counters["MPIIO_INDEP_WRITES"] == 0
 
 
+# Malformed counter rows and the reason each is rejected (or skipped) with.
+_MALFORMED_ROWS = [
+    (
+        "POSIX\t0\tbroken line without enough fields",
+        "line {lineno}: expected 8 tab-separated fields, got 3",
+    ),
+    (
+        "POSIX\t0\t1\tPOSIX_READS\tmany\t/f\t/\tlustre",
+        "invalid literal for int() with base 10: 'many'",
+    ),
+    (
+        "POSIX\t0\t1\tPOSIX_F_READ_TIME\t1.2.3\t/f\t/\tlustre",
+        "could not convert string to float: '1.2.3'",
+    ),
+    (
+        "POSIX\tr0\t1\tPOSIX_READS\t4\t/f\t/\tlustre",
+        "invalid literal for int() with base 10: 'r0'",
+    ),
+    (
+        "POSIX\t0\t1\tPOSIX_READS\t4\t/f\t/\tlustre\textra",
+        "line {lineno}: expected 8 tab-separated fields, got 9",
+    ),
+]
+
+
 class TestTextRoundTrip:
     def test_round_trip_preserves_everything(self, sb01_trace):
         text = render_darshan_text(sb01_trace.log)
@@ -209,8 +234,11 @@ class TestTextRoundTrip:
         assert posix_pos < mpiio_pos < lustre_pos  # MPI-IO in the latter half
 
     def test_parser_rejects_malformed_rows(self):
-        with pytest.raises(DarshanParseError):
-            parse_darshan_text("POSIX\t0\tbroken line without enough fields\n")
+        # Strict mode names the offending line for field-count and number errors.
+        for row, reason in _MALFORMED_ROWS:
+            with pytest.raises(DarshanParseError) as excinfo:
+                parse_darshan_text(row + "\n")
+            assert str(excinfo.value) == "line 1: " + reason.removeprefix("line {lineno}: ")
 
     def test_parser_requires_header(self):
         with pytest.raises(DarshanParseError):
@@ -244,6 +272,24 @@ class TestDamagedText:
         assert report.skipped_count == 1
         assert report.skipped[0].text == "?? trailing garbage ??"
         assert "8 tab-separated fields" in report.skipped[0].reason
+
+        # Every kind of bad row, once mid-section and once at the end: each
+        # is skipped at its exact line, with the strict error's reason.
+        clean = render_darshan_text(sb01_trace.log).splitlines()
+        first_record = next(i for i, line in enumerate(clean) if line.startswith("POSIX\t"))
+        for row, reason in _MALFORMED_ROWS:
+            lines = clean[: first_record + 1] + [row] + clean[first_record + 1 :] + [row]
+            damaged = "\n".join(lines) + "\n"
+            with pytest.raises(DarshanParseError, match=rf"^line {first_record + 2}: "):
+                parse_darshan_text(damaged)
+            log, report = parse_darshan_text_with_report(damaged, lenient=True)
+            assert len(log.records) == len(sb01_trace.log.records)
+            assert report.record_lines == len(clean) - sum(
+                1 for line in clean if not line or line.startswith("#")
+            )
+            assert [(s.lineno, s.text, s.reason) for s in report.skipped] == [
+                (n, row, reason.format(lineno=n)) for n in (first_record + 2, len(lines))
+            ]
 
     def test_mid_line_truncation(self, sb01_trace):
         text = render_darshan_text(sb01_trace.log).rstrip("\n")

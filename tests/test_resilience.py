@@ -247,9 +247,7 @@ class TestDegradation:
             tool=IOAgent(IOAgentConfig(use_dxt=False)), config=full
         )
         full_service = DiagnosisService(tool=IOAgent(full), config=full)
-        assert ablated_service._cache_key(sb01_trace.log) != full_service._cache_key(
-            sb01_trace.log
-        )
+        assert ablated_service.cache_key(sb01_trace.log) != full_service.cache_key(sb01_trace.log)
 
     def test_clean_runs_stay_undegraded_and_cache(self, sb01_trace):
         config = IOAgentConfig(max_workers=1)

@@ -534,3 +534,89 @@ class TestServeCli:
         assert self._run("serve", "--scenarios", "sb01-small-writes", "--store", str(store)) == 0
         second = capsys.readouterr().out
         assert "executed=0" in second and "cache=1" in second
+
+
+# -- digest once per request ---------------------------------------------
+
+
+@pytest.fixture()
+def digest_calls(monkeypatch):
+    """Every ``trace_digest`` call made through the service module, in order."""
+    import repro.core.service as service_module
+
+    calls = []
+    real = service_module.trace_digest
+
+    def counting(log):
+        calls.append(log)
+        return real(log)
+
+    monkeypatch.setattr(service_module, "trace_digest", counting)
+    return calls
+
+
+class TestDigestOncePerRequest:
+    """A request's content key is computed once and carried to every step."""
+
+    def test_miss_digests_once(self, sb01_trace, digest_calls):
+        server = DiagnosisServer(_service(), autostart=False)
+        handle = server.submit(sb01_trace.log, trace_id="miss")
+        server.start()
+        handle.result(timeout=120)
+        server.close()
+        assert server.counters.executed == 1
+        assert len(digest_calls) == 1
+
+    def test_memory_hit_digests_once(self, sb01_trace, digest_calls):
+        service = _service()
+        service.diagnose(sb01_trace.log, trace_id="warm")
+        del digest_calls[:]
+        server = DiagnosisServer(service, autostart=False)
+        handle = server.submit(sb01_trace.log, trace_id="hit")
+        server.close()
+        assert handle.served_from_cache and service.stats().cache_hits == 1
+        assert len(digest_calls) == 1
+
+    def test_store_hit_digests_once(self, tmp_path, sb01_trace, digest_calls):
+        filler = _service()
+        filler.store = ResultStore(tmp_path)
+        filler.diagnose(sb01_trace.log, trace_id="fill")
+        del digest_calls[:]
+        service = DiagnosisService(config=IOAgentConfig(seed=0, max_workers=1), store=str(tmp_path))
+        server = DiagnosisServer(service, autostart=False)
+        handle = server.submit(sb01_trace.log, trace_id="stored")
+        server.close()
+        assert handle.served_from_cache and service.stats().store_hits == 1
+        assert len(digest_calls) == 1
+
+    def test_coalesced_duplicate_digests_once(self, sb01_trace, digest_calls):
+        server = DiagnosisServer(_service(), autostart=False)
+        first = server.submit(sb01_trace.log, trace_id="first")
+        duplicate = server.submit(sb01_trace.log, trace_id="duplicate")
+        server.start()
+        assert first.result(timeout=120).text == duplicate.result(timeout=120).text
+        server.close()
+        assert duplicate.coalesced and server.counters.executed == 1
+        assert len(digest_calls) == 2
+
+    def test_service_diagnose_digests_once_per_call(self, sb01_trace, digest_calls):
+        service = _service()
+        service.diagnose(sb01_trace.log, trace_id="miss")
+        assert len(digest_calls) == 1
+        service.diagnose(sb01_trace.log, trace_id="hit")
+        assert len(digest_calls) == 2
+        assert service.stats().cache_hits == 1
+
+    def test_uncached_service_behind_a_server_neither_caches_nor_stores(
+        self, tmp_path, sb01_trace, digest_calls
+    ):
+        service = DiagnosisService(
+            config=IOAgentConfig(seed=0, max_workers=1), cache=False, store=str(tmp_path)
+        )
+        server = DiagnosisServer(service, autostart=False)
+        server.serve_all([(sb01_trace.log, "a"), (sb01_trace.log, "b")])
+        server.close()
+        stats = service.stats()
+        assert (stats.cache_hits, stats.cache_misses, stats.store_hits) == (0, 0, 0)
+        assert len(service.store) == 0 and stats.cached_reports == ()
+        assert len(digest_calls) == 2  # the coalescing key, once per request
