@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-workers",
             type=int,
             default=None,
-            help="thread-pool width for per-fragment parallelism",
+            help="kept for compatibility: one diagnosis runs serially",
         )
         p.set_defaults(func=_cmd_tool, tool_name=tool_name)
 
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-workers",
         type=int,
         default=None,
-        help="thread-pool width for the LLM tools under evaluation",
+        help="kept for compatibility: each diagnosis runs serially",
     )
     ev.set_defaults(func=_cmd_evaluate)
     return parser

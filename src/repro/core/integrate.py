@@ -2,8 +2,8 @@
 
 For each fragment description: retrieve the top-15 nearest knowledge
 chunks, then run the self-reflection filter — a cheaper model judging each
-source's true relevance — *in parallel over all retrieved sources*, as the
-paper describes.  Roughly half the sources are expected to be ruled out.
+source's true relevance — over every retrieved source.  Roughly half the
+sources are expected to be ruled out.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ def integrate_fragment(
     reflection_model: str,
     call_id: str,
     use_reflection: bool = True,
-    max_workers: int | None = None,
 ) -> IntegrationResult:
     """Retrieve knowledge for a fragment and filter it by self-reflection."""
     hits = retriever.retrieve(description)
@@ -50,6 +49,5 @@ def integrate_fragment(
         client=client,
         model=reflection_model,
         call_id_prefix=call_id,
-        max_workers=max_workers,
     )
     return IntegrationResult(retrieved=tuple(hits), kept_sources=tuple(kept))

@@ -1,17 +1,17 @@
 """Tree-based pairwise merging (paper §IV-C) and the 1-step ablation.
 
-IOAgent merges diagnosis fragments strictly two at a time; all pairs at a
-tree level are independent, so each level runs in parallel — the structure
-of paper Fig. 2.  The 1-step merge (everything in one prompt) exists only
-to reproduce the Fig. 6 comparison, where mid-positioned findings and
-their references get lost.
+IOAgent merges diagnosis fragments strictly two at a time, level by level
+up a binary tree — the structure of paper Fig. 2.  The pairs at one level
+are independent (the paper runs them in parallel); here they run in order
+on the calling thread, each keyed by its own ``call_id``.  The 1-step
+merge (everything in one prompt) exists only to reproduce the Fig. 6
+comparison, where mid-positioned findings and their references get lost.
 """
 
 from __future__ import annotations
 
 from repro.llm.client import LLMClient
 from repro.llm.tasks.merge import build_merge_prompt
-from repro.util.parallel import parallel_map
 
 __all__ = ["tree_merge", "one_step_merge"]
 
@@ -21,26 +21,24 @@ def tree_merge(
     client: LLMClient,
     model: str,
     call_id_prefix: str = "",
-    max_workers: int | None = None,
 ) -> str:
-    """Merge summaries pairwise, level by level, pairs in parallel."""
+    """Merge summaries pairwise, level by level, pairs in input order."""
     if not summaries:
         raise ValueError("nothing to merge")
     level = list(summaries)
     depth = 0
     while len(level) > 1:
-        pairs = [(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-        carry = [level[-1]] if len(level) % 2 == 1 else []
-
-        def merge_pair(indexed: tuple[int, tuple[str, str]]) -> str:
-            i, (a, b) = indexed
-            prompt = build_merge_prompt([a, b])
-            return client.complete(
-                prompt, model=model, call_id=f"{call_id_prefix}/merge/L{depth}/{i}"
+        merged = [
+            client.complete(
+                build_merge_prompt([level[2 * i], level[2 * i + 1]]),
+                model=model,
+                call_id=f"{call_id_prefix}/merge/L{depth}/{i}",
             ).text
-
-        level = parallel_map(merge_pair, list(enumerate(pairs)), max_workers=max_workers)
-        level.extend(carry)
+            for i in range(len(level) // 2)
+        ]
+        if len(level) % 2 == 1:
+            merged.append(level[-1])
+        level = merged
         depth += 1
     return level[0]
 

@@ -22,8 +22,10 @@ Key pieces:
   from an :class:`~repro.core.agent.IOAgentConfig`.
 
 Determinism note: every LLM call is keyed by an explicit ``call_id``, so
-re-grouping the per-fragment work into stage-wide parallel sweeps produces
-byte-identical reports to the original fused loop.
+re-grouping the per-fragment work into stage-wide sweeps produces
+byte-identical reports to the original fused loop.  One run executes on
+the thread that calls it; concurrency across requests belongs to the
+callers (``DiagnosisService.diagnose_batch``, the server's workers).
 
 Failure semantics (the resilience contract):
 
@@ -56,13 +58,17 @@ from repro.core.integrate import IntegrationResult, integrate_fragment
 from repro.core.merge import one_step_merge, tree_merge
 from repro.core.preprocess import ModuleTable, split_modules
 from repro.core.report import DiagnosisReport
-from repro.core.summaries import SummaryFragment, app_context_facts, extract_fragments
+from repro.core.summaries import (
+    SummaryFragment,
+    app_context_facts,
+    extract_fragments,
+    extractor_source,
+)
 from repro.darshan.log import DarshanLog
 from repro.llm.client import FaultEvent, LLMClient, Usage
 from repro.llm.facts import Fact
 from repro.rag.retriever import Retriever
 from repro.resilience.errors import ResilienceError
-from repro.util.parallel import parallel_map
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.agent import IOAgentConfig
@@ -152,7 +158,7 @@ class PipelineContext:
     def record_failure(
         self, stage: str, channel: str, error: str, fragment_id: str = ""
     ) -> None:
-        """Log one absorbed failure (thread-safe: fragments run in parallel)."""
+        """Log one absorbed failure."""
         failure = StageFailure(
             stage=stage, channel=channel, error=error, fragment_id=fragment_id
         )
@@ -216,9 +222,10 @@ class Stage(Protocol):
 class PipelineObserver:
     """Event-hook base class; subclass and override what you need.
 
-    All hooks are no-ops by default.  ``on_llm_call`` may fire from worker
-    threads (stages parallelize per-fragment work), so stateful observers
-    must synchronize their own accumulation.
+    All hooks are no-ops by default.  One run fires its hooks from the
+    thread that runs it, but an observer shared between concurrent runs
+    (a batch, the server's workers) must synchronize its own
+    accumulation.
     """
 
     def on_stage_start(self, stage: str, ctx: PipelineContext) -> None: ...
@@ -283,8 +290,6 @@ class TemporalStage:
     channel = "dxt-temporal"
 
     def run(self, ctx: PipelineContext) -> None:
-        import inspect
-
         from repro.darshan.dxt import cached_temporal_facts, dxt_temporal_facts
 
         facts = cached_temporal_facts(ctx.log)
@@ -295,13 +300,13 @@ class TemporalStage:
                 module="DXT",
                 category="timeline",
                 facts=tuple(facts),
-                code=inspect.getsource(dxt_temporal_facts),
+                code=extractor_source(dxt_temporal_facts),
             )
         )
 
 
 class DescribeStage:
-    """JSON fragment → natural-language description, fragments in parallel.
+    """JSON fragment → natural-language description, one fragment at a time.
 
     Per-fragment isolation: a fragment whose calls exhaust the recovery
     layer (``ResilienceError`` only — real bugs still propagate) is
@@ -314,28 +319,20 @@ class DescribeStage:
     channel = ""
 
     def run(self, ctx: PipelineContext) -> None:
-        cfg = ctx.config
-
-        def describe(fragment: SummaryFragment) -> tuple[str, str | None]:
+        done: dict[str, str] = {}
+        for fragment in ctx.fragments:
             fid = fragment.fragment_id
             try:
-                text: str | None = describe_fragment(
+                done[fid] = describe_fragment(
                     fragment,
                     ctx.app_facts,
                     ctx.client,
-                    cfg.model,
+                    ctx.config.model,
                     call_id=f"{ctx.trace_id}/{fid}/describe",
                 )
             except ResilienceError as exc:
                 ctx.record_failure(self.name, f"fragment:{fid}", repr(exc), fragment_id=fid)
-                text = None
-            return fid, text
-
-        ctx.descriptions = {
-            fid: text
-            for fid, text in parallel_map(describe, ctx.fragments, max_workers=cfg.max_workers)
-            if text is not None
-        }
+        ctx.descriptions = done
 
 
 class IntegrateStage:
@@ -353,36 +350,26 @@ class IntegrateStage:
 
     def run(self, ctx: PipelineContext) -> None:
         cfg = ctx.config
+        done: dict[str, IntegrationResult] = {}
         if ctx.retriever is None:
-            ctx.integrations = {}
+            ctx.integrations = done
             return
-
-        def integrate(fragment: SummaryFragment) -> tuple[str, IntegrationResult | None]:
+        for fragment in ctx.fragments:
             fid = fragment.fragment_id
             if fid not in ctx.descriptions:  # fragment already dropped upstream
-                return fid, None
+                continue
             try:
-                result: IntegrationResult | None = integrate_fragment(
+                done[fid] = integrate_fragment(
                     ctx.descriptions[fid],
                     ctx.retriever,
                     ctx.client,
                     reflection_model=cfg.reflection_model,
                     call_id=f"{ctx.trace_id}/{fid}",
                     use_reflection=cfg.use_reflection,
-                    max_workers=cfg.max_workers,
                 )
             except ResilienceError as exc:
                 ctx.record_failure(self.name, self.channel, repr(exc), fragment_id=fid)
-                result = None
-            return fid, result
-
-        ctx.integrations = {
-            fid: result
-            for fid, result in parallel_map(
-                integrate, ctx.fragments, max_workers=cfg.max_workers
-            )
-            if result is not None
-        }
+        ctx.integrations = done
 
 
 class DiagnoseStage:
@@ -398,31 +385,23 @@ class DiagnoseStage:
     channel = ""
 
     def run(self, ctx: PipelineContext) -> None:
-        cfg = ctx.config
-
-        def diagnose(fragment: SummaryFragment) -> tuple[str, str | None]:
+        done: dict[str, str] = {}
+        for fragment in ctx.fragments:
             fid = fragment.fragment_id
             if fid not in ctx.descriptions:  # fragment already dropped upstream
-                return fid, None
+                continue
             try:
-                text: str | None = diagnose_fragment(
+                done[fid] = diagnose_fragment(
                     ctx.descriptions[fid],
                     ctx.fragment_sources(fid),
                     ctx.context,
                     ctx.client,
-                    cfg.model,
+                    ctx.config.model,
                     call_id=f"{ctx.trace_id}/{fid}/diagnose",
                 )
             except ResilienceError as exc:
                 ctx.record_failure(self.name, f"fragment:{fid}", repr(exc), fragment_id=fid)
-                text = None
-            return fid, text
-
-        ctx.diagnoses = {
-            fid: text
-            for fid, text in parallel_map(diagnose, ctx.fragments, max_workers=cfg.max_workers)
-            if text is not None
-        }
+        ctx.diagnoses = done
 
 
 class MergeStage:
@@ -465,11 +444,7 @@ class MergeStage:
         try:
             if self.strategy == "tree":
                 ctx.merged_text = tree_merge(
-                    summaries,
-                    ctx.client,
-                    cfg.model,
-                    call_id_prefix=ctx.trace_id,
-                    max_workers=cfg.max_workers,
+                    summaries, ctx.client, cfg.model, call_id_prefix=ctx.trace_id
                 )
             else:
                 ctx.merged_text = one_step_merge(
@@ -487,9 +462,8 @@ class DiagnosisPipeline:
     """Runs stages in order over a :class:`PipelineContext`.
 
     The pipeline times each stage and attributes every LLM completion made
-    while a stage runs to that stage (stages execute sequentially, so a
-    single "current stage" marker is sound even though a stage fans its
-    own work out across threads).
+    while a stage runs to that stage (stages execute sequentially on the
+    calling thread, so a single "current stage" marker is sound).
     """
 
     def __init__(

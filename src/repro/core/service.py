@@ -5,9 +5,9 @@ behind.  On top of any registered :class:`~repro.core.registry.DiagnosticTool`
 it adds the concerns the paper's production story needs but that don't
 belong inside a tool:
 
-* **concurrency** — traces fan out across a thread pool
-  (:func:`repro.util.parallel.parallel_map`), on top of each tool's own
-  per-fragment parallelism;
+* **concurrency** — a batch's traces fan out across a thread pool
+  (:func:`repro.util.parallel.parallel_map`); each diagnosis itself runs
+  serially on its worker thread;
 * **caching** — per-trace results memoized by ``(trace digest, tool,
   config)``, so re-diagnosing an unchanged log is free (``cache_hits`` is
   reported on every batch);
@@ -21,7 +21,7 @@ belong inside a tool:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from threading import Lock
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -222,11 +222,15 @@ class DiagnosisService:
         Keyed on the *tool's* effective config when it carries one: a tool
         instance built around a different config than the service default
         (an ablated use_dxt=False agent, say) must not alias the full
-        tool's entries under the same trace digest.
+        tool's entries under the same trace digest.  ``max_workers`` is
+        left out (keyed at its default): it only sizes
+        :meth:`diagnose_batch` and cannot change a report.
         """
         config = getattr(self.tool, "config", None)
         if config is None:
             config = self.config
+        if getattr(config, "max_workers", None) is not None and is_dataclass(config):
+            config = replace(config, max_workers=None)
         return (trace_digest(log), self.tool.name, repr(config))
 
     def lookup(self, log: DarshanLog, trace_id: str = "trace") -> DiagnosisReport | None:

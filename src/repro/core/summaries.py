@@ -21,8 +21,10 @@ LLMs for metadata retrieval".
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "SummaryFragment",
     "SUMMARY_COVERAGE",
     "extract_fragments",
+    "extractor_source",
     "app_context_facts",
 ]
 
@@ -554,6 +557,16 @@ def app_context_facts(log: DarshanLog) -> list[Fact]:
     ]
 
 
+@functools.lru_cache(maxsize=64)
+def extractor_source(fn: Callable[..., object]) -> str:
+    """Source of an extraction function, read and tokenized once per process.
+
+    It fills ``SummaryFragment.code`` on every trace, and the source of a
+    loaded function does not change, so re-reading it per trace is waste.
+    """
+    return inspect.getsource(fn)
+
+
 def extract_fragments(log: DarshanLog) -> list[SummaryFragment]:
     """Run every applicable extraction function (Table I coverage)."""
     fragments: list[SummaryFragment] = []
@@ -570,7 +583,7 @@ def extract_fragments(log: DarshanLog) -> list[SummaryFragment]:
                     module=module,
                     category=category,
                     facts=tuple(facts),
-                    code=inspect.getsource(fn),
+                    code=extractor_source(fn),
                 )
             )
     return fragments

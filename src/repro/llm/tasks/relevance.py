@@ -10,6 +10,7 @@ flip probability models the cheap model's imperfection.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -47,14 +48,26 @@ _KIND_TOPICS = {
 
 
 def fact_topics(description: str) -> set[str]:
-    """Topics implicated by a fragment description's facts and findings."""
+    """Topics implicated by a fragment description's facts and findings.
+
+    Returns a fresh set on every call, so a caller may mutate it.
+    """
+    return set(_cached_fact_topics(description))
+
+
+# The reflection filter judges every retrieved source of a fragment
+# against the same description, so one fragment asks for the same topics
+# top_k times; the facts and findings behind them are a pure function of
+# the text.
+@functools.lru_cache(maxsize=512)
+def _cached_fact_topics(description: str) -> frozenset[str]:
     facts = extract_facts(description)
     topics: set[str] = set()
     for fact in facts:
         topics.update(_KIND_TOPICS.get(fact.kind, ()))
     for finding in infer_findings(facts):
         topics.update(topics_for_issue(finding.issue_key))
-    return topics
+    return frozenset(topics)
 
 
 def build_relevance_prompt(description: str, source_text: str) -> str:

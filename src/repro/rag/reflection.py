@@ -1,15 +1,17 @@
 """Self-reflection source filtering (paper §IV-B3).
 
-Runs the cheap relevance model over every retrieved source in parallel
-(the paper: "this source filtering is run in parallel over all retrieved
-sources") and keeps those judged RELEVANT.
+Runs the cheap relevance model over every retrieved source and keeps
+those judged RELEVANT.  The paper runs this filter in parallel over the
+sources; here the judgments run in order on the calling thread, since the
+simulated model is pure Python and threads would only add overhead.  Each
+judgment is keyed by its own ``call_id``, so the order does not change
+any verdict.
 """
 
 from __future__ import annotations
 
 from repro.llm.client import LLMClient
 from repro.llm.tasks.relevance import build_relevance_prompt
-from repro.util.parallel import parallel_map
 
 __all__ = ["reflect_filter"]
 
@@ -20,17 +22,12 @@ def reflect_filter(
     client: LLMClient,
     model: str = "gpt-4o-mini",
     call_id_prefix: str = "",
-    max_workers: int | None = None,
 ) -> list[str]:
     """Return the subset of ``sources`` the reflection model keeps."""
-
-    def judge_one(indexed: tuple[int, str]) -> bool:
-        i, source = indexed
+    kept: list[str] = []
+    for i, source in enumerate(sources):
         prompt = build_relevance_prompt(description, source)
-        response = client.complete(
-            prompt, model=model, call_id=f"{call_id_prefix}/reflect/{i}"
-        )
-        return response.text.startswith("RELEVANT")
-
-    verdicts = parallel_map(judge_one, list(enumerate(sources)), max_workers=max_workers)
-    return [src for src, keep in zip(sources, verdicts) if keep]
+        response = client.complete(prompt, model=model, call_id=f"{call_id_prefix}/reflect/{i}")
+        if response.text.startswith("RELEVANT"):
+            kept.append(source)
+    return kept

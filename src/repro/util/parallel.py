@@ -1,11 +1,9 @@
 """Deterministic parallel map.
 
-The paper runs all pairwise merges at each tree level in parallel, and the
-self-reflection source filter "is run in parallel over all retrieved
-sources" (§IV).  This helper provides that concurrency with thread pools
-(the work units are pure-Python prompt evaluations, so threads suffice and
-keep everything in-process and deterministic) while preserving input order
-in the output, which the merger relies on.
+Runs whole traces at once in ``DiagnosisService.diagnose_batch``, with a
+thread pool that preserves input order in the output.  One diagnosis runs
+serially on its own thread: its per-fragment work is pure-Python prompt
+evaluation under the GIL, where a pool only adds overhead.
 """
 
 from __future__ import annotations
